@@ -46,19 +46,22 @@ func TestParallelExecutorAllocs(t *testing.T) {
 		t.Fatal("unknown series")
 	}
 	ranges := timeCuts(ser, ts[0], ts[len(ts)-1], 8)
-	static := []Row{{Time: 1, Values: []int64{1}}}
-	fn := func(a, b int64) ([]Row, error) { return static, nil }
-	if _, err := e.runRanged(ranges, nil, fn); err != nil {
+	fn := func(a, b int64, out *rowSink) error {
+		out.add1(a, b)
+		return nil
+	}
+	if _, err := e.runRanged(ranges, 1, 0, nil, fn); err != nil {
 		t.Fatal(err)
 	}
 	n = testing.AllocsPerRun(100, func() {
-		if _, err := e.runRanged(ranges, nil, fn); err != nil {
+		if _, err := e.runRanged(ranges, 1, 0, nil, fn); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Budget: result slots + semaphore + one goroutine and closure per
-	// range + the concatenated output. fn itself allocates nothing, so
-	// this isolates the executor's own overhead.
+	// Budget: sink slots + semaphore + one goroutine and closure per
+	// range and pass + the result rows and their value slab. fn writes
+	// one row per range straight into the result, so this isolates the
+	// executor's own overhead.
 	if budget := float64(len(ranges)*6 + 16); n > budget {
 		t.Errorf("runRanged: %.1f allocs/op over %d ranges, budget %.0f", n, len(ranges), budget)
 	}

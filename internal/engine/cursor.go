@@ -32,6 +32,15 @@ type batchCursor struct {
 	pairs  []storage.PagePair
 	idx    int
 	col    *statsCollector
+	// timesOnly cursors decode only timestamps and yield them as the
+	// batch values too: enough for a counting pass that needs no values.
+	timesOnly bool
+	// replay marks a writing-pass cursor (see rowSink): the counting pass
+	// already accounted the pages relevant, tuples loaded and batches.
+	replay bool
+	// bufs are the recycled time/value decode buffers of an engine
+	// without a decoded-page cache, held until release.
+	bufs [2]*[]int64
 }
 
 // newBatchCursor opens a cursor over the [t1, t2] rows of a series.
@@ -45,34 +54,51 @@ func (e *Engine) newBatchCursor(name string, t1, t2 int64, col *statsCollector) 
 	return &batchCursor{e: e, name: name, t1: t1, t2: t2, pairs: pairs, col: col}, nil
 }
 
+// release returns the cursor's decode buffers to colBufPool. The
+// cursor's batches are invalid afterwards.
+func (c *batchCursor) release() {
+	for i, b := range c.bufs {
+		if b != nil {
+			colBufPool.Put(b)
+			c.bufs[i] = nil
+		}
+	}
+}
+
 // Next returns the next non-empty batch, or a zero batch at exhaustion.
-// The returned columns are read-only views (decode-cache or freshly
-// decoded backing) that remain valid until the cursor advances. A
-// cache-hit advance is allocation-free (see TestBatchCursorSteadyStateAllocs);
-// the decode miss underneath is //etsqp:coldpath.
+// The returned columns are read-only views (decode-cache backing, or the
+// cursor's own decode buffers when the engine has no cache) that remain
+// valid until the cursor advances. A cache-hit advance is
+// allocation-free (see TestBatchCursorSteadyStateAllocs); the decode
+// miss underneath is //etsqp:coldpath.
 //
 //etsqp:hotpath
 func (c *batchCursor) Next() (Int64Batch, error) {
 	for c.idx < len(c.pairs) {
 		pp := c.pairs[c.idx]
 		c.idx++
-		c.col.tuplesLoaded.Add(int64(pp.Count()))
+		if !c.replay {
+			c.col.tuplesLoaded.Add(int64(pp.Count()))
+		}
+		traced := c.col.trace != nil && !c.timesOnly
 		var batchStart time.Time
-		if c.col.trace != nil {
+		if traced {
 			batchStart = time.Now()
 		}
-		ts, err := c.e.decodeColumnRange(c.name, pp.Time, 0, pp.Count(), c.col)
+		ts, err := c.column(pp.Time, 0)
 		if err != nil {
 			return Int64Batch{}, err
 		}
-		vals, err := c.e.decodeColumnRange(c.name, pp.Value, 0, pp.Count(), c.col)
-		if err != nil {
-			return Int64Batch{}, err
+		vals := ts
+		if !c.timesOnly {
+			if vals, err = c.column(pp.Value, 1); err != nil {
+				return Int64Batch{}, err
+			}
+			c.col.valuesDecoded.Add(int64(len(vals)))
 		}
-		c.col.valuesDecoded.Add(int64(len(vals)))
 		// Clip to the requested time range (page granularity loads extra).
 		lo, hi := expr.TimeRangeBounds(ts, c.t1, c.t2)
-		if c.col.trace != nil {
+		if traced {
 			c.col.trace.addSlice(SliceEvent{
 				StartRow: lo, EndRow: hi, Rows: hi - lo,
 				DurNs: int64(time.Since(batchStart)),
@@ -81,10 +107,40 @@ func (c *batchCursor) Next() (Int64Batch, error) {
 		if lo >= hi {
 			continue
 		}
-		c.col.cursorBatches.Add(1)
+		if !c.replay {
+			c.col.cursorBatches.Add(1)
+		}
 		return Int64Batch{Ts: ts[lo:hi], Vals: vals[lo:hi]}, nil
 	}
 	return Int64Batch{}, nil
+}
+
+// column decodes a whole page column: through the decoded-page cache
+// when the engine has one, else into the cursor's decode buffer k.
+//
+//etsqp:hotpath
+func (c *batchCursor) column(p *storage.Page, k int) ([]int64, error) {
+	if c.e.Cache != nil {
+		return c.e.decodeColumnRange(c.name, p, 0, p.Header.Count, c.col)
+	}
+	return c.decodeOwned(p, k)
+}
+
+// decodeOwned decodes a page column into the cursor's buffer k, taking
+// one from colBufPool on first use and keeping any growth for the next
+// page.
+//
+//etsqp:coldpath
+func (c *batchCursor) decodeOwned(p *storage.Page, k int) ([]int64, error) {
+	if c.bufs[k] == nil {
+		c.bufs[k] = colBufPool.Get().(*[]int64)
+	}
+	vals, err := c.e.decodeColumnRangeUncached(*c.bufs[k], p, 0, p.Header.Count, c.col)
+	if err != nil {
+		return nil, err
+	}
+	*c.bufs[k] = vals
+	return vals, nil
 }
 
 // cursorHead is the merge-side view of a cursor: the current batch and a
@@ -128,9 +184,10 @@ func (h *cursorHead) val() int64 { return h.b.Vals[h.i] }
 // mergeCursors streams the time-ordered concatenation e1 ∘ e2 of two
 // cursors (the batch form of expr.MergeByTime): equal timestamps merge
 // into one row with both values, a missing side yields expr.NullValue.
-// emit returns false to stop early (LIMIT). Pure merge time (batch
-// refills excluded) is charged to the merge stage.
-func mergeCursors(l, r *batchCursor, col *statsCollector, emit func(Row) bool) error {
+// emit receives each row's time and left/right values and returns false
+// to stop early (LIMIT). Pure merge time (batch refills excluded) is
+// charged to the merge stage.
+func mergeCursors(l, r *batchCursor, col *statsCollector, emit func(t, lv, rv int64) bool) error {
 	lh, rh := &cursorHead{c: l}, &cursorHead{c: r}
 	start := time.Now()
 	defer func() {
@@ -147,17 +204,17 @@ func mergeCursors(l, r *batchCursor, col *statsCollector, emit func(Row) bool) e
 		case lh.eof && rh.eof:
 			return nil
 		case rh.eof || (!lh.eof && lh.ts() < rh.ts()):
-			if !emit(Row{Time: lh.ts(), Values: []int64{lh.val(), expr.NullValue}}) {
+			if !emit(lh.ts(), lh.val(), expr.NullValue) {
 				return nil
 			}
 			lh.i++
 		case lh.eof || rh.ts() < lh.ts():
-			if !emit(Row{Time: rh.ts(), Values: []int64{expr.NullValue, rh.val()}}) {
+			if !emit(rh.ts(), expr.NullValue, rh.val()) {
 				return nil
 			}
 			rh.i++
 		default:
-			if !emit(Row{Time: lh.ts(), Values: []int64{lh.val(), rh.val()}}) {
+			if !emit(lh.ts(), lh.val(), rh.val()) {
 				return nil
 			}
 			lh.i++

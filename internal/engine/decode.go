@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -15,6 +16,10 @@ import (
 
 // pageBufPool recycles the worker-local buffers pages are loaded into.
 var pageBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// colBufPool recycles the buffers batch cursors decode page columns into
+// when the engine has no decoded-page cache.
+var colBufPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // loadPage copies a page's payload into a worker-local buffer — the
 // memory-I/O stage of the pipeline (pages move from the shared buffer
@@ -67,7 +72,7 @@ func (e *Engine) decodeColumn(ser string, p *storage.Page, col *statsCollector) 
 // return value as read-only.
 func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, col *statsCollector) ([]int64, error) {
 	if e.Cache == nil {
-		return e.decodeColumnRangeUncached(p, from, to, col)
+		return e.decodeColumnRangeUncached(nil, p, from, to, col)
 	}
 	full := from == 0 && to == p.Header.Count
 	if v, ok := e.Cache.Get(p); ok {
@@ -82,7 +87,7 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, co
 	if col != nil {
 		col.cacheMisses.Add(1)
 	}
-	vals, err := e.decodeColumnRangeUncached(p, from, to, col)
+	vals, err := e.decodeColumnRangeUncached(nil, p, from, to, col)
 	if err == nil && full {
 		e.Cache.Put(ser, p, vals)
 	}
@@ -92,11 +97,13 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, co
 // decodeColumnRangeUncached is the decode path proper. Vectorized
 // modes resolve slice prefix dependencies with SumPacked; Serial decodes
 // the whole page and slices (which is what a value-wise decoder must do).
-// A miss necessarily materializes the decoded column, so this is where
-// the hot cursor path is allowed to allocate (amortized by the cache).
+// A whole TS2DIFF page in a vectorized mode decodes into dst's backing
+// when it is large enough; every other decode materializes a new
+// column, so this is where the hot cursor path is allowed to allocate
+// (amortized by the cache or the cursor's recycled buffers).
 //
 //etsqp:coldpath
-func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *statsCollector) (vals []int64, err error) {
+func (e *Engine) decodeColumnRangeUncached(dst []int64, p *storage.Page, from, to int, col *statsCollector) (vals []int64, err error) {
 	data, release := loadPage(p, col)
 	defer release()
 	if err := p.VerifyChecksum(); err != nil {
@@ -157,7 +164,8 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 			return all[from:to], nil
 		}
 		if full {
-			return pipeline.DecodeBlock(blk)
+			out := slices.Grow(dst[:0], blk.Count)[:blk.Count]
+			return out, pipeline.DecodeBlockInto(out, blk)
 		}
 		return pipeline.DecodeRange(blk, from, to)
 	}

@@ -120,7 +120,8 @@ func joinStore(t *testing.T) *storage.Store {
 
 // TestExplainAnalyzeJoinLimitGolden pins the analyze rendering of a
 // LIMIT-bounded natural join: the cursor early-stop must be visible as
-// read < relevant and a small batch count.
+// read < relevant and a small batch count. The read count includes the
+// counting pass's two time-page reads.
 func TestExplainAnalyzeJoinLimitGolden(t *testing.T) {
 	e := New(joinStore(t), ModeETSQP)
 	e.Workers = 1
@@ -133,7 +134,7 @@ func TestExplainAnalyzeJoinLimitGolden(t *testing.T) {
 		"  pages: 8  workers: 1  jobs: 8  sliced: false\n" +
 		"  merge ranges: 1\n" +
 		"  analyze:\n" +
-		"    pages: relevant=16 read=4 pruned=0 stat-answered=0\n" +
+		"    pages: relevant=16 read=6 pruned=0 stat-answered=0\n" +
 		"    slices: 0  tuples loaded: 2048  rows pruned: 0  rows out: 4\n" +
 		"    values: fused=0 decoded=2048\n" +
 		"    merge ranges: 1\n" +
@@ -241,7 +242,10 @@ func TestTraceJSONWindowJoinGolden(t *testing.T) {
 		}
 		// The two recorded slice events are the single batch each cursor
 		// pulled before the LIMIT stopped the join; slices_total stays 0
-		// because cursor batches are not pipeline jobs.
+		// because cursor batches are not pipeline jobs. The row count is
+		// taken by a timestamps-only pass before the writing pass, so
+		// the join runs as two one-range morsel batches and reads each
+		// side's first time page twice (six page reads, not four).
 		want := `{"query":"SELECT * FROM ts1, ts2 LIMIT 4",` +
 			`"mode":"ETSQP","workers":1,"elapsed_ns":0,` +
 			`"span":{"name":"query","dur_ns":0,"children":[` +
@@ -254,8 +258,8 @@ func TestTraceJSONWindowJoinGolden(t *testing.T) {
 			`{"start_row":0,"end_row":1024,"rows":1024,"fused":false,"dur_ns":0},` +
 			`{"start_row":0,"end_row":1024,"rows":1024,"fused":false,"dur_ns":0}],` +
 			`"slices_total":0,"trace_id":"tid",` +
-			`"resources":{"cpu_ns":0,"morsels":1,"steals":0,"pages_read":4,` +
-			`"bytes_scanned":972,"values_decoded":2048,"cache_hits":0,"cache_misses":0,` +
+			`"resources":{"cpu_ns":0,"morsels":2,"steals":0,"pages_read":6,` +
+			`"bytes_scanned":1074,"values_decoded":2048,"cache_hits":0,"cache_misses":0,` +
 			`"arena_high_bytes":0}}` + "\n"
 		if got := b.String(); got != want {
 			t.Errorf("trace JSON mismatch\ngot:  %swant: %s", got, want)

@@ -125,8 +125,9 @@ func TestTimeCutsEmptyRange(t *testing.T) {
 }
 
 // TestRunRangedClaims: runRanged preserves range order in its output,
-// runs every range exactly once even with more ranges than workers, and
-// propagates the first error.
+// runs every range exactly once per pass (counting, then writing) even
+// with more ranges than workers, and propagates the first error of
+// either pass.
 func TestRunRangedClaims(t *testing.T) {
 	e := New(storeFor(t, ModeETSQP, []int64{1, 2}, []int64{1, 2}, 2), ModeETSQP)
 	e.Workers = 3
@@ -134,33 +135,93 @@ func TestRunRangedClaims(t *testing.T) {
 	for i := range ranges {
 		ranges[i] = [2]int64{int64(i) * 10, int64(i)*10 + 9}
 	}
-	var calls atomic.Int64
-	rows, err := e.runRanged(ranges, nil, func(t1, t2 int64) ([]Row, error) {
-		calls.Add(1)
-		return []Row{{Time: t1}}, nil
+	var counts, writes atomic.Int64
+	rows, err := e.runRanged(ranges, 1, 0, nil, func(t1, t2 int64, out *rowSink) error {
+		if out.counting() {
+			counts.Add(1)
+		} else {
+			writes.Add(1)
+		}
+		out.add1(t1, t2)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != int64(len(ranges)) {
-		t.Fatalf("fn ran %d times, want %d", got, len(ranges))
+	if c, w := counts.Load(), writes.Load(); c != int64(len(ranges)) || w != int64(len(ranges)) {
+		t.Fatalf("fn ran %d counting and %d writing times, want %d each", c, w, len(ranges))
 	}
 	if len(rows) != len(ranges) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for i, r := range rows {
-		if r.Time != int64(i)*10 {
+		if r.Time != int64(i)*10 || len(r.Values) != 1 || r.Values[0] != int64(i)*10+9 {
 			t.Fatalf("row %d out of order: %+v", i, r)
 		}
 	}
 	boom := errors.New("boom")
-	_, err = e.runRanged(ranges, nil, func(t1, t2 int64) ([]Row, error) {
-		if t1 == 200 {
-			return nil, fmt.Errorf("range %d: %w", t1, boom)
+	for _, failCounting := range []bool{true, false} {
+		_, err = e.runRanged(ranges, 1, 0, nil, func(t1, t2 int64, out *rowSink) error {
+			if t1 == 200 && out.counting() == failCounting {
+				return fmt.Errorf("range %d: %w", t1, boom)
+			}
+			out.add1(t1, t2)
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("fail in counting pass %v: err = %v", failCounting, err)
 		}
-		return nil, nil
+	}
+}
+
+// TestRunRangedLimitAndWindows: the limit trims across range boundaries,
+// the writing pass skips ranges past it, a range that writes a different
+// row count than it counted is an error, and every row's Values is a
+// cap-limited window of one slab, so appending to one row never changes
+// the next.
+func TestRunRangedLimitAndWindows(t *testing.T) {
+	e := New(storeFor(t, ModeETSQP, []int64{1, 2}, []int64{1, 2}, 2), ModeETSQP)
+	e.Workers = 2
+	ranges := [][2]int64{{0, 9}, {10, 19}, {20, 29}}
+	var written atomic.Int64
+	emit3 := func(t1, t2 int64, out *rowSink) error {
+		if !out.counting() {
+			written.Add(1)
+		}
+		for i := int64(0); i < 3 && out.add2(t1+i, i, -i); i++ {
+		}
+		return nil
+	}
+	rows, err := e.runRanged(ranges, 2, 5, nil, emit3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 || rows[2].Time != 2 || rows[3].Time != 10 || rows[4].Time != 11 {
+		t.Fatalf("limit 5 over 3+3+3 rows: %+v", rows)
+	}
+	if w := written.Load(); w != 2 {
+		t.Fatalf("writing pass ran %d ranges, want 2", w)
+	}
+	for i := range rows {
+		if len(rows[i].Values) != 2 || cap(rows[i].Values) != 2 {
+			t.Fatalf("row %d window len/cap = %d/%d, want 2/2", i, len(rows[i].Values), cap(rows[i].Values))
+		}
+	}
+	next := append([]int64(nil), rows[1].Values...)
+	grown := append(rows[0].Values, -7)
+	if grown[2] != -7 || rows[1].Values[0] != next[0] || rows[1].Values[1] != next[1] {
+		t.Fatalf("append to row 0 changed row 1: %v, want %v", rows[1].Values, next)
+	}
+	if rows, err := e.runRanged(ranges, 2, 0, nil, func(t1, t2 int64, out *rowSink) error { return nil }); err != nil || rows != nil {
+		t.Fatalf("no rows: got %v, %v; want nil, nil", rows, err)
+	}
+	_, err = e.runRanged(ranges, 1, 0, nil, func(t1, t2 int64, out *rowSink) error {
+		if out.counting() || t1 != 10 {
+			out.add1(t1, t2)
+		}
+		return nil
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	if err == nil {
+		t.Fatal("a range writing fewer rows than it counted must fail")
 	}
 }

@@ -65,17 +65,18 @@ func decodeBlockInto(out []int64, b *ts2diff.Block) error {
 		if b.Count == 1 {
 			return nil
 		}
-		// Stage 1: recover the delta sequence (itself delta-encoded).
-		deltas := make([]int64, b.Count-1)
+		// Stage 1: recover the delta sequence (itself delta-encoded)
+		// into out[1:], so the page needs no scratch.
+		deltas := out[1:]
 		deltas[0] = b.FirstDelta
 		if err := accumulateFrom(deltas, b.FirstDelta, b.Packed, b.NumPacked(), b.Width, b.MinBase); err != nil {
 			return err
 		}
-		// Stage 2: accumulate deltas onto the first value.
+		// Stage 2: prefix-sum the deltas in place onto the first value.
 		cur := b.First
 		for i, d := range deltas {
 			cur += d
-			out[i+1] = cur
+			deltas[i] = cur
 		}
 		return nil
 	default:
